@@ -14,7 +14,7 @@
 
 use mcd_sim::telemetry::{SimTelemetry, TelemetrySink};
 use mcd_sim::{SimConfig, TraceEvent};
-use mcd_trace::{read_anchor_at, read_mcdt, Episode};
+use mcd_trace::{read_anchor_at, read_index, read_segment, wire_identical, Episode};
 
 use crate::checkpoint::{fnv1a64, str_field, u64_field, FNV_OFFSET};
 use crate::error::RunError;
@@ -82,7 +82,7 @@ pub fn parse_replay_spec(spec: &str) -> Result<(String, Scheme, RunConfig), RunE
 }
 
 /// The result of replaying one episode's segment.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct ReplayOutcome {
     /// Label of the run the episode belongs to.
     pub run_label: String,
@@ -159,17 +159,19 @@ impl ReplayOutcome {
 }
 
 /// Replays the segment around catalogued episode `k` of a `.mcdt`
-/// recording and verifies it against the original stream.
+/// recording and verifies it against the original stream. Only the
+/// index, the start anchor and the episode's run up to the segment's end
+/// are read, so the cost follows the segment, not the file.
 pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError> {
     let codec = |e: mcd_trace::TraceCodecError| RunError::Config(e.to_string());
-    let file = read_mcdt(bytes).map_err(codec)?;
-    let (ri, ei) = file.index.locate_episode(k).ok_or_else(|| {
+    let index = read_index(bytes).map_err(codec)?;
+    let (ri, ei) = index.locate_episode(k).ok_or_else(|| {
         RunError::Config(format!(
             "episode {k} out of range: the catalog holds {} episode(s)",
-            file.index.episode_count()
+            index.episode_count()
         ))
     })?;
-    let run_idx = &file.index.runs[ri];
+    let run_idx = &index.runs[ri];
     let episode = run_idx.episodes[ei];
     let spec = run_idx.spec.as_deref().ok_or_else(|| {
         RunError::Config(format!(
@@ -192,14 +194,20 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
         .iter()
         .find(|a| a.event_index > episode.close_event_index)
         .copied();
-    let original = &file.runs[ri].events;
     let start_idx = start_anchor.map_or(0, |a| a.event_index);
-    let end_idx = end_anchor.map_or(original.len() as u64, |a| a.event_index);
+    let end_idx = end_anchor.map_or(run_idx.event_count, |a| a.event_index);
+    let original = read_segment(bytes, run_idx, start_idx..end_idx).map_err(codec)?;
 
     let mut machine = build_machine(&benchmark, scheme, &cfg)?;
     let anchor_retired = match start_anchor {
         Some(aref) if aref.event_index > 0 || aref.retired > 0 => {
             let anchor = read_anchor_at(bytes, aref.offset).map_err(codec)?;
+            if (anchor.event_index, anchor.retired) != (aref.event_index, aref.retired) {
+                return Err(RunError::Config(format!(
+                    "anchor block at offset {} does not match its index entry",
+                    aref.offset
+                )));
+            }
             machine
                 .restore(&anchor.snapshot)
                 .map_err(|e| RunError::Config(format!("recorded anchor failed to restore: {e}")))?;
@@ -230,19 +238,7 @@ pub fn replay_episode(bytes: &[u8], k: usize) -> Result<ReplayOutcome, RunError>
     }
 
     let (replayed, _anchors) = sink.into_inner().into_parts();
-    let want = original
-        .get(start_idx as usize..end_idx as usize)
-        .ok_or_else(|| {
-            RunError::Config(format!(
-                "index segment [{start_idx}, {end_idx}) exceeds the {}-event stream",
-                original.len()
-            ))
-        })?;
-    let byte_identical = replayed.len() == want.len()
-        && replayed
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.to_json() == b.to_json());
+    let byte_identical = wire_identical(&replayed, &original);
 
     let (mut reaction_count, mut reaction_sum_ps) = (0u64, 0u64);
     for h in &telemetry.reaction_ps {

@@ -34,8 +34,11 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 
 // ----------------------------------------------------------------- crc32
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table and
+/// `T[k][i]` is the CRC of byte `i` followed by `k` zero bytes, so one
+/// lookup per byte of an 8-byte word replaces eight dependent steps.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -48,19 +51,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial), the integrity check on every block.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -158,20 +185,42 @@ pub(crate) fn write_block(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     buf.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// Reads one framed block, verifying its CRC.
-pub(crate) fn read_block<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8]), TraceCodecError> {
+/// One framed block, read off the stream but not yet CRC-checked: a
+/// reader that only steps over a block pays nothing for its payload.
+pub(crate) struct Frame<'a> {
+    pub(crate) kind: u8,
+    payload: &'a [u8],
+    crc: u32,
+}
+
+impl<'a> Frame<'a> {
+    /// The payload, after verifying the block's CRC.
+    pub(crate) fn payload(&self) -> Result<&'a [u8], TraceCodecError> {
+        let got = crc32(self.payload);
+        if self.crc != got {
+            return Err(err(format!(
+                "crc mismatch on block kind {:#04x}: stored {:#010x}, computed {got:#010x}",
+                self.kind, self.crc
+            )));
+        }
+        Ok(self.payload)
+    }
+}
+
+/// Reads one block's framing, leaving the CRC check to [`Frame::payload`].
+pub(crate) fn read_frame<'a>(r: &mut Reader<'a>) -> Result<Frame<'a>, TraceCodecError> {
     let kind = r.u8()?;
     let len = r.varint()?;
     let len = usize::try_from(len).map_err(|_| err("block length overflows usize"))?;
     let payload = r.take(len)?;
-    let want = r.u32le()?;
-    let got = crc32(payload);
-    if want != got {
-        return Err(err(format!(
-            "crc mismatch on block kind {kind:#04x}: stored {want:#010x}, computed {got:#010x}"
-        )));
-    }
-    Ok((kind, payload))
+    let crc = r.u32le()?;
+    Ok(Frame { kind, payload, crc })
+}
+
+/// Reads one framed block, verifying its CRC.
+pub(crate) fn read_block<'a>(r: &mut Reader<'a>) -> Result<(u8, &'a [u8]), TraceCodecError> {
+    let frame = read_frame(r)?;
+    Ok((frame.kind, frame.payload()?))
 }
 
 // ------------------------------------------------------------ strings
@@ -401,6 +450,27 @@ pub(crate) fn encode_event(buf: &mut Vec<u8>, prev_t: &mut u64, ev: &TraceEvent)
     }
 }
 
+/// Whether two event sequences are byte-identical on the wire: each side
+/// is encoded with [`encode_event`] from `prev_t = 0`, so timestamps are
+/// compared to the picosecond and `f64` fields by their raw IEEE bits
+/// (`0.0` ≠ `-0.0`). The wire form is lossless, so this is at least as
+/// strict as comparing each event's JSON, and it reuses two small
+/// buffers instead of allocating per event.
+pub fn wire_identical(a: &[TraceEvent], b: &[TraceEvent]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let (mut wa, mut wb) = (Vec::with_capacity(64), Vec::with_capacity(64));
+    let (mut ta, mut tb) = (0u64, 0u64);
+    a.iter().zip(b).all(|(x, y)| {
+        wa.clear();
+        wb.clear();
+        encode_event(&mut wa, &mut ta, x);
+        encode_event(&mut wb, &mut tb, y);
+        wa == wb
+    })
+}
+
 /// Inverse of [`encode_event`].
 pub(crate) fn decode_event(
     r: &mut Reader<'_>,
@@ -521,6 +591,36 @@ mod tests {
     fn crc32_matches_the_ieee_check_value() {
         // The canonical check: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_definition_at_every_length() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut c = !0u32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+            }
+            !c
+        }
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for end in start..data.len() {
+                assert_eq!(
+                    crc32(&data[start..end]),
+                    bitwise(&data[start..end]),
+                    "[{start}, {end})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   snapshots at shard boundaries through
 //!   [`TraceSink::record_anchor`]; the index records where they landed so
 //!   a replay can restore the nearest anchor and re-simulate just the
-//!   segment around an episode.
+//!   segment around an episode. [`read_segment`] then decodes only that
+//!   run's blocks up to the segment's end, and [`wire_identical`]
+//!   compares the two streams in wire form.
 //! * **Lossless JSONL interop.** [`render_jsonl`] emits byte-identical
 //!   output to the PR 2 writer, and [`parse_jsonl`] inverts it exactly
 //!   (shortest-round-trip `f64` text both ways), so `.mcdt` ⇄ JSONL
@@ -38,10 +40,11 @@ mod jsonl;
 mod read;
 mod sink;
 
+pub use codec::wire_identical;
 pub use episodes::{catalog_episodes, Episode};
 pub use frame::{decode_frame, encode_event_frame, encode_meta_frame, StreamFrame};
 pub use jsonl::{json_escape, parse_jsonl, render_jsonl};
-pub use read::{read_anchor_at, read_index, read_mcdt, McdtFile};
+pub use read::{read_anchor_at, read_index, read_mcdt, read_segment, McdtFile};
 pub use sink::{write_mcdt, BinarySink};
 
 /// File-level magic prefix of a `.mcdt` stream.
